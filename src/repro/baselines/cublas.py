@@ -138,8 +138,16 @@ def matmul(a: np.ndarray, b: np.ndarray, device: DeviceSpec) -> KernelResult:
     execution = gemm_execution(
         a.shape[0], b.shape[1], a.shape[1], device, a.dtype.itemsize
     )
-    out = (a.astype(np.float32) @ b.astype(np.float32)).astype(a.dtype)
-    return KernelResult(output=out, execution=execution)
+    return KernelResult(output=gemm_reference(a, b), execution=execution)
+
+
+def gemm_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dense ``A @ B`` numerics: fp32 accumulation, stored in ``A``'s dtype.
+
+    fp32 operands, transposed views included, reach BLAS without a copy.
+    """
+    out = a.astype(np.float32, copy=False) @ b.astype(np.float32, copy=False)
+    return out.astype(a.dtype, copy=False)
 
 
 def transpose_execution(

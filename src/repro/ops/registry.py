@@ -27,7 +27,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..baselines import aspt, cusparse
+from ..baselines import aspt, cublas, cusparse
 from ..baselines.merge_spmm import merge_spmm
 from ..baselines.merge_spmm import spmm_launch as merge_spmm_launch
 from ..core.csc_spmm import execute_spmm_csc
@@ -371,7 +371,7 @@ def _cublas_matmul_run(ctx, a, b):
     execution = ctx.gemm_execution(
         a.shape[0], b.shape[1], a.shape[1], a.dtype.itemsize
     )
-    out = (a.astype(np.float32) @ b.astype(np.float32)).astype(a.dtype)
+    out = cublas.gemm_reference(a, b)
     return KernelResult(output=out, execution=execution)
 
 

@@ -17,25 +17,28 @@ tests compare against these functions.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse as sp
 
 from .csr import CSRMatrix
 
-#: Nonzeros per chunk of the SDDMM reference gathers. The ``lhs[row_ids]``/
-#: ``rhs[col_ids]`` gathers materialize ``(chunk, k)`` fp32 temporaries;
-#: chunking bounds peak memory at ~``2 * SDDMM_CHUNK_NNZ * k * 4`` bytes
-#: (a few hundred MB at k=512) regardless of the mask's nnz, so a huge
-#: SuiteSparse mask cannot blow up the reference path.
-SDDMM_CHUNK_NNZ = 1 << 18
-
-#: Batched-SDDMM fast path: when the full dense product stack holds at most
-#: this many fp32 elements (64 MB) AND the mask is at least
-#: :data:`SDDMM_DENSE_SAMPLE_DENSITY` dense, compute one batched BLAS GEMM
-#: and sample the mask coordinates from it. Per-nonzero gathers move ~2k
-#: bytes per output value; a GEMM runs an order of magnitude faster per
-#: flop, so it wins whenever more than a few percent of the product is
-#: actually needed and the product fits comfortably in memory.
-SDDMM_DENSE_SAMPLE_ELEMS = 1 << 24
+#: SDDMM numerics, shared by both references (DESIGN.md §12). A row's path
+#: depends only on its length, ``cols`` and ``H``, so a row shard never
+#: flips it. Rows with at least ``SDDMM_DENSE_SAMPLE_DENSITY * cols``
+#: nonzeros are packed in order into zero-padded ``(H, R, k)`` blocks, each
+#: one GEMM against ``rhs^T`` sampled at the block's coordinates. ``R`` is
+#: the most rows, up to ``SDDMM_BLOCK_ROWS``, whose ``H * R * cols`` product
+#: fits in ``SDDMM_DENSE_SAMPLE_ELEMS`` fp32 values (4 MB, which also caps
+#: the padding); as it depends on ``H`` and ``cols`` only, every GEMM of a
+#: problem and of its row shards has one shape, hence one BLAS kernel and
+#: summation order, and sharded SDDMM stays bit-identical. If ``R`` falls
+#: below ``SDDMM_MIN_BLOCK_ROWS`` a block no longer amortizes streaming
+#: ``rhs`` and every row takes gathered dot products over
+#: ``SDDMM_CHUNK_NNZ``-nonzero chunks (chunking never changes the bits).
 SDDMM_DENSE_SAMPLE_DENSITY = 0.02
+SDDMM_BLOCK_ROWS = 256
+SDDMM_MIN_BLOCK_ROWS = 16
+SDDMM_DENSE_SAMPLE_ELEMS = 1 << 20
+SDDMM_CHUNK_NNZ = 1 << 12
 
 
 def spmm_reference(a: CSRMatrix, b: np.ndarray) -> np.ndarray:
@@ -48,8 +51,10 @@ def spmm_reference(a: CSRMatrix, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b)
     if b.ndim != 2 or b.shape[0] != a.n_cols:
         raise ValueError(f"B shape {b.shape} incompatible with A {a.shape}")
-    sp = a.to_scipy().astype(np.float32)
-    out = sp @ b.astype(np.float32)
+    # fp32 values and the native indices, not a widened to_scipy() copy.
+    vals = a.values.astype(np.float32, copy=False)
+    lhs = sp.csr_matrix((vals, a.column_indices, a.row_offsets), shape=a.shape)
+    out = lhs @ b.astype(np.float32, copy=False)
     return np.asarray(out, dtype=a.values.dtype)
 
 
@@ -65,32 +70,13 @@ def sddmm_reference(
     Computes only the dot products for the nonzero positions of ``mask``
     (the whole point of SDDMM). With ``scale_by_values`` the textbook
     element-wise scaling ``A B^T ∘ C`` is applied; the default matches the
-    paper's deep-learning variant ``A B^T ∘ I[C]``.
+    paper's deep-learning variant ``A B^T ∘ I[C]``. This is the ``H = 1``
+    case of :func:`sddmm_batched_reference`, bit for bit.
     """
     lhs = np.asarray(lhs, dtype=np.float32)
     rhs = np.asarray(rhs, dtype=np.float32)
-    rows, cols = mask.shape
-    if lhs.shape[0] != rows or rhs.shape[0] != cols:
-        raise ValueError(
-            f"operands {lhs.shape} x {rhs.shape}^T incompatible with "
-            f"mask {mask.shape}"
-        )
-    if lhs.shape[1] != rhs.shape[1]:
-        raise ValueError("lhs and rhs must share the inner dimension")
-    row_ids = np.repeat(np.arange(rows), mask.row_lengths)
-    col_ids = mask.column_indices.astype(np.int64)
-    # Gathered batched dot products: one per nonzero, never materializing
-    # the dense product. The gathers run in nnz chunks so peak memory is
-    # bounded by SDDMM_CHUNK_NNZ, not the mask's nnz.
-    out_vals = np.empty(mask.nnz, dtype=np.float32)
-    for start in range(0, mask.nnz, SDDMM_CHUNK_NNZ):
-        sl = slice(start, start + SDDMM_CHUNK_NNZ)
-        out_vals[sl] = np.einsum(
-            "nk,nk->n", lhs[row_ids[sl]], rhs[col_ids[sl]], dtype=np.float32
-        )
-    if scale_by_values:
-        out_vals = out_vals * mask.values.astype(np.float32)
-    return mask.with_values(out_vals.astype(mask.values.dtype))
+    values = _sddmm_stack(lhs[None], rhs[None], mask, scale_by_values)
+    return mask.with_values(values[0])
 
 
 def sparse_softmax_reference(a: CSRMatrix, scale: float = 1.0) -> CSRMatrix:
@@ -142,8 +128,6 @@ def spmm_batched_reference(
         raise ValueError(
             f"per-head values shape {values.shape} != ({h}, {a.nnz})"
         )
-    from scipy import sparse as sp
-
     # Block-diagonal stacking: H copies of the structure with per-head
     # values — still exactly one sparse matmul.
     offsets = np.concatenate(
@@ -173,53 +157,65 @@ def sddmm_batched_reference(
     ``lhs_stack`` is ``(H, rows, k)`` and ``rhs_stack`` ``(H, cols, k)``;
     returns the column-stacked ``(nnz, H)`` value matrix (one column per
     head, all sharing ``mask``'s topology).
-
-    Moderately-dense small masks take a batched-GEMM fast path: one BLAS
-    ``lhs @ rhs^T`` for the whole stack, sampled at the mask coordinates —
-    per-nonzero gathers cost far more per flop than a GEMM once a few
-    percent of the product is needed. Large or very sparse problems fall
-    back to gathers chunked over nnz blocks like :func:`sddmm_reference`,
-    so peak memory stays bounded either way.
     """
     lhs_stack = np.asarray(lhs_stack, dtype=np.float32)
     rhs_stack = np.asarray(rhs_stack, dtype=np.float32)
-    if lhs_stack.ndim != 3 or rhs_stack.ndim != 3:
-        raise ValueError("operand stacks must be (H, rows, k)")
-    if lhs_stack.shape[0] != rhs_stack.shape[0]:
-        raise ValueError(
-            f"stacks disagree on batch size: {lhs_stack.shape[0]} vs "
-            f"{rhs_stack.shape[0]}"
-        )
+    values = _sddmm_stack(lhs_stack, rhs_stack, mask, scale_by_values)
+    return values.T.astype(mask.values.dtype, order="C")
+
+
+def _sddmm_stack(
+    lhs: np.ndarray, rhs: np.ndarray, mask: CSRMatrix, scale_by_values: bool
+) -> np.ndarray:
+    """``(H, nnz)`` fp32 SDDMM values of fp32 ``(H, rows, k)`` and
+    ``(H, cols, k)`` stacks."""
     rows, cols = mask.shape
-    if lhs_stack.shape[1] != rows or rhs_stack.shape[1] != cols:
+    if lhs.ndim != 3 or rhs.ndim != 3 or lhs.shape[0] != rhs.shape[0]:
+        raise ValueError(f"stacks {lhs.shape}, {rhs.shape} are not (H, n, k)")
+    if lhs.shape[1] != rows or rhs.shape[1] != cols:
         raise ValueError(
-            f"stacks {lhs_stack.shape} x {rhs_stack.shape}^T incompatible "
-            f"with mask {mask.shape}"
+            f"operands {lhs.shape} x {rhs.shape}^T incompatible with "
+            f"mask {mask.shape}"
         )
-    if lhs_stack.shape[2] != rhs_stack.shape[2]:
-        raise ValueError("lhs and rhs stacks must share the inner dimension")
-    h = lhs_stack.shape[0]
-    row_ids = np.repeat(np.arange(rows), mask.row_lengths)
-    col_ids = mask.column_indices.astype(np.int64)
-    dense_elems = h * rows * cols
-    density = mask.nnz / max(1, rows * cols)
-    if dense_elems <= SDDMM_DENSE_SAMPLE_ELEMS and density >= SDDMM_DENSE_SAMPLE_DENSITY:
-        scores = np.matmul(lhs_stack, rhs_stack.transpose(0, 2, 1))
-        out_vals = np.ascontiguousarray(scores[:, row_ids, col_ids].T)
-    else:
-        out_vals = np.empty((mask.nnz, h), dtype=np.float32)
-        chunk = max(1, SDDMM_CHUNK_NNZ // max(1, h))
-        for start in range(0, mask.nnz, chunk):
-            sl = slice(start, start + chunk)
-            out_vals[sl] = np.einsum(
-                "hnk,hnk->nh",
-                lhs_stack[:, row_ids[sl]],
-                rhs_stack[:, col_ids[sl]],
-                dtype=np.float32,
-            )
+    if lhs.shape[2] != rhs.shape[2]:
+        raise ValueError("lhs and rhs must share the inner dimension")
+    h, _, k = lhs.shape
+    lengths = mask.row_lengths
+    r = min(SDDMM_BLOCK_ROWS, SDDMM_DENSE_SAMPLE_ELEMS // max(1, h * cols))
+    threshold = max(1.0, SDDMM_DENSE_SAMPLE_DENSITY * cols)
+    dense = (r >= SDDMM_MIN_BLOCK_ROWS) & (lengths >= threshold)
+    on_dense = np.repeat(dense, lengths)
+    out = np.empty((h, mask.nnz), dtype=np.float32)
+
+    dense_rows = np.flatnonzero(dense)
+    if dense_rows.size:
+        # Each dense nonzero's offset in its block's (R, cols) product. The
+        # other nonzeros read element 0 and are overwritten by the gathers.
+        flat = np.zeros(mask.nnz, dtype=np.int64)
+        flat[on_dense] = mask.column_indices[on_dense] + np.repeat(
+            np.arange(dense_rows.size) % r * cols, lengths[dense_rows]
+        )
+        prod = np.empty((h, r, cols), dtype=np.float32)
+        for start in range(0, dense_rows.size, r):
+            sub = dense_rows[start:start + r]
+            block = np.zeros((h, r, k), dtype=np.float32)
+            block[:, :sub.size] = lhs[:, sub]
+            np.matmul(block, rhs.transpose(0, 2, 1), out=prod)
+            nz = slice(mask.row_offsets[sub[0]], mask.row_offsets[sub[-1] + 1])
+            out[:, nz] = prod.reshape(h, -1)[:, flat[nz]]
+
+    sparse_nz = np.flatnonzero(~on_dense)
+    chunk = max(1, SDDMM_CHUNK_NNZ // max(1, h))
+    for start in range(0, sparse_nz.size, chunk):
+        nz = sparse_nz[start:start + chunk]
+        row_ids = np.searchsorted(mask.row_offsets, nz, side="right") - 1
+        out[:, nz] = np.einsum(
+            "hnk,hnk->hn", lhs[:, row_ids], rhs[:, mask.column_indices[nz]],
+            dtype=np.float32,
+        )
     if scale_by_values:
-        out_vals = out_vals * mask.values.astype(np.float32)[:, None]
-    return out_vals.astype(mask.values.dtype)
+        out *= mask.values.astype(np.float32)
+    return out
 
 
 def sparse_softmax_batched_reference(

@@ -7,6 +7,7 @@ import pytest
 
 from repro.gpu import V100
 from repro.sparse import CSRMatrix
+from repro.sparse.ops import SDDMM_DENSE_SAMPLE_DENSITY
 
 
 @pytest.fixture
@@ -31,6 +32,25 @@ def random_sparse(
         (rows, cols)
     )
     return CSRMatrix.from_dense(dense.astype(np.float64), dtype=dtype)
+
+
+def threshold_mask(
+    rng: np.random.Generator, rows: int, cols: int, dtype=np.float32
+) -> CSRMatrix:
+    """Rows on both sides of the SDDMM reference's dense-row threshold:
+    empty rows, short rows, rows one below, exactly at and one above it,
+    and long and full rows, cycling down the matrix."""
+    at = SDDMM_DENSE_SAMPLE_DENSITY * cols
+    assert at == int(at) >= 2, "pick cols so the threshold is a whole row"
+    at = int(at)
+    lengths = np.resize([0, 1, at - 1, at, at + 1, cols // 4, cols], rows)
+    dense = np.zeros((rows, cols))
+    for row, length in enumerate(lengths):
+        picked = rng.choice(cols, size=length, replace=False)
+        dense[row, picked] = rng.uniform(0.5, 2.0, length) * rng.choice(
+            [-1.0, 1.0], length
+        )
+    return CSRMatrix.from_dense(dense, dtype=dtype)
 
 
 @pytest.fixture

@@ -12,7 +12,10 @@ VII-C1). These tests pin the contract:
   ONCE for the whole batch: one DispatchReport, one fallback counter tick,
   not H of either;
 - **references** — the chunked SDDMM gathers match the unchunked einsum
-  bit for bit, so bounding peak memory cannot change results;
+  bit for bit, so bounding peak memory cannot change results; the single
+  SDDMM reference is the H=1 batched one, a row's bits survive any row
+  subset or order (what sharding does), and both numeric paths stay
+  inside the fp32 error bound against a float64 oracle;
 - **plumbing** — model paths (attention, MobileNet) and the sweep's ``h``
   dimension ride the same batched dispatch.
 """
@@ -39,7 +42,7 @@ from repro.nn import (
 from repro.ops import ExecutionContext
 from repro.reliability import FallbackPolicy, FaultInjector, FaultSpec
 from repro.sparse import ops as sparse_ops
-from tests.conftest import random_sparse
+from tests.conftest import random_sparse, threshold_mask
 
 HEADS = [1, 4, 8]
 
@@ -252,6 +255,8 @@ class TestChunkedSddmmReference:
         mask = random_sparse(rng, 48, 40, 0.3)
         lhs = rng.standard_normal((48, 24)).astype(np.float32)
         rhs = rng.standard_normal((40, 24)).astype(np.float32)
+        # Every row takes the gather path, so chunking is what varies.
+        monkeypatch.setattr(sparse_ops, "SDDMM_DENSE_SAMPLE_DENSITY", 2.0)
         full = sparse_ops.sddmm_reference(lhs, rhs, mask)
         monkeypatch.setattr(sparse_ops, "SDDMM_CHUNK_NNZ", 7)
         chunked = sparse_ops.sddmm_reference(lhs, rhs, mask)
@@ -261,6 +266,7 @@ class TestChunkedSddmmReference:
         mask = random_sparse(rng, 32, 32, 0.4)
         lhs = rng.standard_normal((32, 16)).astype(np.float32)
         rhs = rng.standard_normal((32, 16)).astype(np.float32)
+        monkeypatch.setattr(sparse_ops, "SDDMM_DENSE_SAMPLE_DENSITY", 2.0)
         full = sparse_ops.sddmm_reference(lhs, rhs, mask, scale_by_values=True)
         monkeypatch.setattr(sparse_ops, "SDDMM_CHUNK_NNZ", 5)
         chunked = sparse_ops.sddmm_reference(
@@ -282,6 +288,107 @@ class TestChunkedSddmmReference:
         np.testing.assert_allclose(
             dense_path, gather_path, rtol=1e-5, atol=1e-5
         )
+
+
+class TestSddmmReference:
+    """One SDDMM reference serves both the single and the batched call:
+    dense rows take fixed-shape GEMM blocks, the rest chunked gathers."""
+
+    @pytest.mark.parametrize("block_elems", [None, 36 * 550])
+    def test_row_subsets_keep_their_bits(self, rng, monkeypatch, block_elems):
+        """A row's values do not depend on which rows share its GEMM
+        block: one row alone, two rows reordered, a run of rows and a
+        full permutation (what a row shard feeds the reference) all match
+        the full call bit for bit. k=33 and cols=550 are shapes on which
+        BLAS picks other kernels for one- and two-row products. Covers
+        full 256-row blocks and 36-row blocks (a smaller product bound)."""
+        if block_elems is not None:
+            monkeypatch.setattr(
+                sparse_ops, "SDDMM_DENSE_SAMPLE_ELEMS", block_elems
+            )
+        rows, cols = 300, 550
+        mask = threshold_mask(rng, rows, cols)
+        lhs = rng.standard_normal((rows, 33)).astype(np.float32)
+        rhs = rng.standard_normal((cols, 33)).astype(np.float32)
+        full = sparse_ops.sddmm_reference(lhs, rhs, mask).values
+        offsets = mask.row_offsets
+        for sub in ([3], [5, 3], np.arange(3, 10), rng.permutation(rows)):
+            sub = np.asarray(sub)
+            part = sparse_ops.sddmm_reference(
+                lhs[sub], rhs, mask.take_rows(sub)
+            )
+            expected = np.concatenate(
+                [full[offsets[row]:offsets[row + 1]] for row in sub]
+            )
+            np.testing.assert_array_equal(part.values, expected)
+
+    def test_blocks_below_min_rows_take_gathers(self, rng, monkeypatch):
+        """When the product bound leaves fewer than SDDMM_MIN_BLOCK_ROWS
+        rows per block, every row takes the gather path: the result is
+        bit-equal to forcing all rows onto it."""
+        mask = threshold_mask(rng, 300, 550)
+        lhs = rng.standard_normal((300, 33)).astype(np.float32)
+        rhs = rng.standard_normal((550, 33)).astype(np.float32)
+        rows_that_fit = sparse_ops.SDDMM_MIN_BLOCK_ROWS - 1
+        monkeypatch.setattr(
+            sparse_ops, "SDDMM_DENSE_SAMPLE_ELEMS", rows_that_fit * 550
+        )
+        small = sparse_ops.sddmm_reference(lhs, rhs, mask)
+        monkeypatch.setattr(sparse_ops, "SDDMM_DENSE_SAMPLE_DENSITY", 2.0)
+        gathers = sparse_ops.sddmm_reference(lhs, rhs, mask)
+        np.testing.assert_array_equal(small.values, gathers.values)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    @pytest.mark.parametrize("scale", [False, True])
+    def test_single_is_batched_h1(self, rng, dtype, scale):
+        """The single-problem reference is the H=1 batched one, bit for
+        bit, on rows from both sides of the dense-row threshold."""
+        mask = threshold_mask(rng, 600, 200, dtype)
+        lhs = rng.standard_normal((600, 24)).astype(np.float32)
+        rhs = rng.standard_normal((200, 24)).astype(np.float32)
+        single = sparse_ops.sddmm_reference(
+            lhs, rhs, mask, scale_by_values=scale
+        )
+        batched = sparse_ops.sddmm_batched_reference(
+            lhs[None], rhs[None], mask, scale_by_values=scale
+        )
+        assert batched.shape == (mask.nnz, 1)
+        assert batched.dtype == single.values.dtype
+        np.testing.assert_array_equal(batched[:, 0], single.values)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    @pytest.mark.parametrize("scale", [False, True])
+    def test_within_fp64_oracle_bound(self, rng, dtype, scale):
+        """Both paths (GEMM blocks and gathers) stay inside the classical
+        fp32 dot-product error bound against a float64 oracle, plus one
+        rounding on store for fp16 masks."""
+        rows, cols, k = 600, 200, 256
+        mask = threshold_mask(rng, rows, cols, dtype)
+        lhs = rng.standard_normal((rows, k)).astype(np.float32)
+        rhs = rng.standard_normal((cols, k)).astype(np.float32)
+        out = sparse_ops.sddmm_reference(
+            lhs, rhs, mask, scale_by_values=scale
+        ).values.astype(np.float64)
+        row_ids = np.repeat(np.arange(rows), mask.row_lengths)
+        a = lhs[row_ids].astype(np.float64)
+        b = rhs[mask.column_indices].astype(np.float64)
+        weight = np.abs(mask.values.astype(np.float64)) if scale else 1.0
+        exact = np.einsum("nk,nk->n", a, b)
+        if scale:
+            exact *= mask.values.astype(np.float64)
+        # gamma_n = n u / (1 - n u): k products and k - 1 sums, plus the
+        # scaling multiply.
+        n_ops = k + 1
+        gamma = n_ops * 2.0**-24 / (1 - n_ops * 2.0**-24)
+        accumulated = gamma * np.einsum("nk,nk->n", np.abs(a), np.abs(b))
+        store = 2.0**-11 if dtype == np.float16 else 0.0
+        subnormal = 2.0**-25 if dtype == np.float16 else 0.0
+        bound = (
+            (1 + store) * accumulated * weight
+            + store * np.abs(exact)
+            + subnormal
+        )
+        assert np.all(np.abs(out - exact) <= bound)
 
 
 # ----------------------------------------------------------------------

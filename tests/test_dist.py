@@ -48,8 +48,9 @@ from repro.obs.tracing import Tracer
 from repro.ops.store import PLAN_STORE_VERSION
 from repro.reliability.errors import DeviceOOMError
 from repro.sparse import CSRMatrix
+from repro.sparse.ops import SDDMM_DENSE_SAMPLE_DENSITY
 
-from .conftest import random_sparse
+from .conftest import random_sparse, threshold_mask
 
 
 def power_law_lengths(rng, n_rows: int, alpha: float = 1.5) -> np.ndarray:
@@ -256,6 +257,29 @@ class TestShardedOps:
             lhs, rhs, mask, context=ops.ExecutionContext(V100)
         )
         result = sharded_sddmm(lhs, rhs, mask, DeviceGroup(4))
+        np.testing.assert_array_equal(
+            result.output.values, reference.output.values
+        )
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_sharded_sddmm_bit_identical_across_dense_threshold(self, rng, k):
+        """Rows on both sides of the SDDMM reference's dense-row threshold
+        (empty rows and a row exactly at it included) keep their bits when
+        the mask is sharded: a shard packs different rows into each
+        fixed-shape GEMM block, and none of that may show."""
+        rows, cols = 700, 200
+        mask = threshold_mask(rng, rows, cols)
+        at = SDDMM_DENSE_SAMPLE_DENSITY * cols
+        lengths = mask.row_lengths
+        assert (lengths == 0).any() and (lengths == at).any()
+        assert ((lengths > 0) & (lengths < at)).any() and (lengths > at).any()
+        lhs = rng.standard_normal((rows, 24)).astype(np.float32)
+        rhs = rng.standard_normal((cols, 24)).astype(np.float32)
+        reference = ops.sddmm(
+            lhs, rhs, mask, context=ops.ExecutionContext(V100)
+        )
+        result = sharded_sddmm(lhs, rhs, mask, DeviceGroup(k))
+        assert result.sharded.k == k
         np.testing.assert_array_equal(
             result.output.values, reference.output.values
         )
