@@ -108,10 +108,7 @@ def test_fig09_spmm_mixed(benchmark, problems, show):
     benchmark(lambda: sputnik_spmm_time(fp16[0][1], fp16[0][2], V100))
     rows = run_spmm_suite(
         fp16,
-        {
-            "sputnik": sputnik_spmm_time,
-            "cusparse": lambda a, n, d: cusparse_spmm_time(a, n, d, "mixed"),
-        },
+        {"sputnik": sputnik_spmm_time, "cusparse": cusparse_spmm_time},
         V100,
     )
     stats = speedup_stats(rows, "sputnik", "cusparse")

@@ -48,7 +48,6 @@ from repro.obs import (
     read_jsonl,
     validate_chrome_trace,
 )
-from repro.ops.operators import _fast_path
 from repro.ops.registry import get_impl
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -290,9 +289,11 @@ def bench_dispatch_overhead(repeats: int, calls: int) -> dict:
 
     def baseline_loop():
         # The pre-instrumentation fast path: resolve, registry, cost, count.
+        # A plain string backend without validation takes it whenever no
+        # fault injector is attached.
         for _ in range(calls):
             c = ops.resolve_context(ctx, None)
-            if _fast_path(c, "sputnik", False):
+            if c.injector is None:
                 result = impl.cost(c, a, 64, None, "heuristic")
                 c.telemetry.record_launch("spmm", "sputnik", result)
 

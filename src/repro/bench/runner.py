@@ -41,14 +41,10 @@ def sputnik_spmm_time(
 
 
 def cusparse_spmm_time(
-    a: CSRMatrix,
-    n: int,
-    device: DeviceSpec,
-    precision: str = "fp32",
-    *,
-    selector: str = "heuristic",
+    a: CSRMatrix, n: int, device: DeviceSpec, *, selector: str = "heuristic"
 ) -> ExecutionResult:
-    return ops.spmm_cost(a, n, device, backend="cusparse", precision=precision)
+    """cuSPARSE SpMM; an fp16 ``a`` is costed at mixed precision."""
+    return ops.spmm_cost(a, n, device, backend="cusparse")
 
 
 def merge_spmm_time(

@@ -22,12 +22,18 @@ Each wrapper resolves (context, backend, config) and dispatches through the
 ``*_cost`` variants return the simulated :class:`ExecutionResult` only —
 the benchmark path, also plan-cached.
 
-A plain string backend with no guardrails and no fault injector takes the
-zero-overhead legacy path. Chains, ``validate=True``, or an attached
-:class:`~repro.reliability.injector.FaultInjector` route the call through
-:func:`repro.reliability.policy.run_with_policy`; the resulting
+Every wrapper checks its inputs and hands one ``invoke(impl, config)``
+callable (plus, for fp16 operands, an ``fp32(impl)`` upcast) to
+:func:`_dispatch`, the one dispatch function. It has one fork: a plain
+string backend with no guardrails and no fault injector runs once, so a
+``DeviceOOMError`` or ``PlanCorruptionError`` reaches the caller raw;
+anything else goes through
+:func:`repro.reliability.policy.run_with_policy`, whose
 :class:`~repro.reliability.policy.DispatchReport` rides on
-``result.reliability`` (and ``context.last_dispatch_report``).
+``result.reliability`` (and ``context.last_dispatch_report``). Both
+branches charge each attempt to a per-backend memory scope, pass an
+explicit config only to the primary or ``sputnik`` backend, and record
+the same launch telemetry.
 
 When the context carries a :class:`~repro.obs.tracing.Tracer`, every
 dispatch opens an ``op``-category span annotated with the backend chosen,
@@ -38,6 +44,8 @@ is one attribute check and the shared no-op span.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -68,7 +76,7 @@ def resolve_context(
 
 
 def _fast_path(ctx: ExecutionContext, backend, validate: bool) -> bool:
-    """Plain string backend, no guardrails, no injector: legacy dispatch."""
+    """Plain string backend, no guardrails, no injector: run it once."""
     return isinstance(backend, str) and not validate and ctx.injector is None
 
 
@@ -110,64 +118,77 @@ def _op_span(ctx: ExecutionContext, op: str, backend):
     return tracer.span(op, category="op", **attrs)
 
 
-def _policy_dispatch(
+def _dispatch(
     ctx: ExecutionContext,
     op: str,
     backend,
     validate: bool,
-    call,
+    invoke,
     *,
+    config=None,
     operands=(),
-    fp32_call=None,
-    cost: bool = False,
-    span=NO_SPAN,
     workspace: int = 0,
+    fp32=None,
+    batch: int | None = None,
+    cost: bool = False,
 ):
-    """Route one op call through the reliability policy loop.
+    """Run one op call as ``invoke(impl, config)`` on the chosen backend.
 
-    When the context accounts HBM capacity, every attempt is wrapped in a
-    per-backend memory scope — so falling back from aspt to sputnik really
-    does shrink the charged footprint, which is stage 3 of the OOM
-    degradation ladder.
+    On the fast path the one backend runs once; anything else goes
+    through the reliability policy loop, with ``fp32(impl)`` as the
+    degraded-mode upcast when the operands are fp16. Every attempt is
+    charged to its own per-backend memory scope, so falling back from aspt
+    to sputnik really does shrink the charged footprint, which is stage 3
+    of the OOM degradation ladder. ``cost`` marks ``invoke`` as returning an
+    :class:`ExecutionResult` rather than a :class:`KernelResult`.
     """
-    policy = as_policy(backend, validate=True if validate else None)
-    attempt = call
-    fp32_attempt = fp32_call
-    if ctx.memory is not None:
-
-        def attempt(be: str, _call=call):
-            with ctx.memory_scope(op, be, operands, workspace):
-                return _call(be)
-
-        if fp32_call is not None:
-
-            def fp32_attempt(be: str, _call=fp32_call):
-                with ctx.memory_scope(op, be, operands, workspace):
-                    return _call(be)
-
-    result = run_with_policy(
-        ctx,
-        op,
-        policy,
-        attempt,
-        operands=operands,
-        fp32_attempt=fp32_attempt,
-        registered=set(available(op)),
-        exact_backends=exact_backends(op),
-    )
-    report = ctx.last_dispatch_report
-    used = report.backend_used
-    execution = result if cost else result.execution
-    ctx.telemetry.record_launch(op, used, execution)
-    span.set(backend_used=used)
-    if not report.clean:
-        span.set(
-            retries=report.retries,
-            fallbacks=report.fallbacks,
-            degraded=report.degraded,
+    with _op_span(ctx, op, backend) as span:
+        if batch is not None:
+            span.set(batch=batch)
+        fast = _fast_path(ctx, backend, validate)
+        policy = None if fast else as_policy(
+            backend, validate=True if validate else None
         )
-    span.add_sim(execution.runtime_s)
-    return result
+        primary = backend if fast else policy.backends[0]
+
+        def attempt(be: str, upcast: bool = False):
+            impl = get_impl(op, be)
+            with ctx.memory_scope(op, be, operands, workspace):
+                if upcast:
+                    return fp32(impl)
+                # An explicit Sputnik config does not transfer to other
+                # backends.
+                cfg = config if be in (primary, "sputnik") else None
+                return invoke(impl, cfg)
+
+        if fast:
+            result = attempt(backend)
+            used = backend
+        else:
+            upcast = None if fp32 is None else partial(attempt, upcast=True)
+            result = run_with_policy(
+                ctx,
+                op,
+                policy,
+                attempt,
+                operands=operands,
+                fp32_attempt=upcast,
+                registered=set(available(op)),
+                exact_backends=exact_backends(op),
+            )
+            report = ctx.last_dispatch_report
+            used = report.backend_used
+            span.set(backend_used=used)
+            if not report.clean:
+                span.set(
+                    retries=report.retries,
+                    fallbacks=report.fallbacks,
+                    degraded=report.degraded,
+                )
+        execution = result if cost else result.execution
+        ctx.telemetry.record_launch(op, used, execution)
+        span.add_sim(execution.runtime_s)
+        return result
 
 
 def _shard_route(shard, context, device, config):
@@ -185,6 +206,8 @@ def _shard_route(shard, context, device, config):
             "contexts; do not also pass context/device/config"
         )
     return True
+
+
 
 
 def spmm(
@@ -215,36 +238,20 @@ def spmm(
             backend=backend, selector=selector,
         )
     ctx = resolve_context(context, device)
-    with _op_span(ctx, "spmm", backend) as span:
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("spmm", backend)
-            ws = _spmm_workspace(a, b.shape[1])
-            with ctx.memory_scope("spmm", backend, (a,), ws):
-                result = impl.run(ctx, a, b, config, selector)
-            ctx.telemetry.record_launch("spmm", backend, result.execution)
-            span.add_sim(result.execution.runtime_s)
-            return result
+    fp32 = None
+    if a.values.dtype == np.float16:
 
-        primary = as_policy(backend).backends[0]
+        def fp32(impl):
+            a32 = a.astype(np.float32)
+            b32 = np.asarray(b, dtype=np.float32)
+            return impl.run(ctx, a32, b32, None, selector)
 
-        def call(be: str) -> KernelResult:
-            # An explicit Sputnik config does not transfer to other backends.
-            cfg = config if be in (primary, "sputnik") else None
-            return get_impl("spmm", be).run(ctx, a, b, cfg, selector)
-
-        fp32_call = None
-        if a.values.dtype == np.float16:
-
-            def fp32_call(be: str) -> KernelResult:
-                a32 = a.astype(np.float32)
-                b32 = np.asarray(b, dtype=np.float32)
-                return get_impl("spmm", be).run(ctx, a32, b32, None, selector)
-
-        return _policy_dispatch(
-            ctx, "spmm", backend, validate, call,
-            operands=(a,), fp32_call=fp32_call, span=span,
-            workspace=_spmm_workspace(a, b.shape[1]),
-        )
+    return _dispatch(
+        ctx, "spmm", backend, validate,
+        lambda impl, cfg: impl.run(ctx, a, b, cfg, selector),
+        config=config, operands=(a,), fp32=fp32,
+        workspace=_spmm_workspace(a, b.shape[1]),
+    )
 
 
 def spmm_cost(
@@ -259,7 +266,6 @@ def spmm_cost(
     validate: bool = False,
     shard=None,
     shard_strategy: str = "row",
-    **kwargs,
 ) -> ExecutionResult:
     """Simulated SpMM cost only (``n`` = dense batch columns).
 
@@ -274,27 +280,12 @@ def spmm_cost(
             backend=backend, selector=selector,
         )
     ctx = resolve_context(context, device)
-    with _op_span(ctx, "spmm", backend) as span:
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("spmm", backend)
-            with ctx.memory_scope("spmm", backend, (a,), _spmm_workspace(a, n)):
-                result = impl.cost(ctx, a, n, config, selector, **kwargs)
-            ctx.telemetry.record_launch("spmm", backend, result)
-            span.add_sim(result.runtime_s)
-            return result
-
-        primary = as_policy(backend).backends[0]
-
-        def call(be: str) -> ExecutionResult:
-            cfg = config if be in (primary, "sputnik") else None
-            extra = kwargs if be == primary else {}
-            return get_impl("spmm", be).cost(ctx, a, n, cfg, selector, **extra)
-
-        return _policy_dispatch(
-            ctx, "spmm", backend, validate, call,
-            operands=(a,), cost=True, span=span,
-            workspace=_spmm_workspace(a, n),
-        )
+    return _dispatch(
+        ctx, "spmm", backend, validate,
+        lambda impl, cfg: impl.cost(ctx, a, n, cfg, selector),
+        config=config, operands=(a,), cost=True,
+        workspace=_spmm_workspace(a, n),
+    )
 
 
 def sddmm(
@@ -322,35 +313,19 @@ def sddmm(
             lhs, rhs, mask, shard, backend=backend, selector=selector
         )
     ctx = resolve_context(context, device)
-    with _op_span(ctx, "sddmm", backend) as span:
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("sddmm", backend)
-            ws = _sddmm_workspace(mask, lhs.shape[1])
-            with ctx.memory_scope("sddmm", backend, (mask,), ws):
-                result = impl.run(ctx, lhs, rhs, mask, config, selector)
-            ctx.telemetry.record_launch("sddmm", backend, result.execution)
-            span.add_sim(result.execution.runtime_s)
-            return result
+    fp32 = None
+    if mask.values.dtype == np.float16:
 
-        primary = as_policy(backend).backends[0]
+        def fp32(impl):
+            mask32 = mask.astype(np.float32)
+            return impl.run(ctx, lhs, rhs, mask32, None, selector)
 
-        def call(be: str) -> KernelResult:
-            cfg = config if be in (primary, "sputnik") else None
-            return get_impl("sddmm", be).run(ctx, lhs, rhs, mask, cfg, selector)
-
-        fp32_call = None
-        if mask.values.dtype == np.float16:
-
-            def fp32_call(be: str) -> KernelResult:
-                return get_impl("sddmm", be).run(
-                    ctx, lhs, rhs, mask.astype(np.float32), None, selector
-                )
-
-        return _policy_dispatch(
-            ctx, "sddmm", backend, validate, call,
-            operands=(mask,), fp32_call=fp32_call, span=span,
-            workspace=_sddmm_workspace(mask, lhs.shape[1]),
-        )
+    return _dispatch(
+        ctx, "sddmm", backend, validate,
+        lambda impl, cfg: impl.run(ctx, lhs, rhs, mask, cfg, selector),
+        config=config, operands=(mask,), fp32=fp32,
+        workspace=_sddmm_workspace(mask, lhs.shape[1]),
+    )
 
 
 def sddmm_cost(
@@ -379,27 +354,12 @@ def sddmm_cost(
             backend=backend, selector=selector,
         )
     ctx = resolve_context(context, device)
-    with _op_span(ctx, "sddmm", backend) as span:
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("sddmm", backend)
-            ws = _sddmm_workspace(mask, k)
-            with ctx.memory_scope("sddmm", backend, (mask,), ws):
-                result = impl.cost(ctx, mask, k, config, selector)
-            ctx.telemetry.record_launch("sddmm", backend, result)
-            span.add_sim(result.runtime_s)
-            return result
-
-        primary = as_policy(backend).backends[0]
-
-        def call(be: str) -> ExecutionResult:
-            cfg = config if be in (primary, "sputnik") else None
-            return get_impl("sddmm", be).cost(ctx, mask, k, cfg, selector)
-
-        return _policy_dispatch(
-            ctx, "sddmm", backend, validate, call,
-            operands=(mask,), cost=True, span=span,
-            workspace=_sddmm_workspace(mask, k),
-        )
+    return _dispatch(
+        ctx, "sddmm", backend, validate,
+        lambda impl, cfg: impl.cost(ctx, mask, k, cfg, selector),
+        config=config, operands=(mask,), cost=True,
+        workspace=_sddmm_workspace(mask, k),
+    )
 
 
 def sparse_softmax(
@@ -413,35 +373,17 @@ def sparse_softmax(
 ) -> KernelResult:
     """Row-wise softmax over CSR nonzeros (Section VII-C)."""
     ctx = resolve_context(context, device)
-    with _op_span(ctx, "sparse_softmax", backend) as span:
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("sparse_softmax", backend)
-            with ctx.memory_scope(
-                "sparse_softmax", backend, (a,), _softmax_workspace(a)
-            ):
-                result = impl.run(ctx, a, scale)
-            ctx.telemetry.record_launch(
-                "sparse_softmax", backend, result.execution
-            )
-            span.add_sim(result.execution.runtime_s)
-            return result
+    fp32 = None
+    if a.values.dtype == np.float16:
 
-        def call(be: str) -> KernelResult:
-            return get_impl("sparse_softmax", be).run(ctx, a, scale)
+        def fp32(impl):
+            return impl.run(ctx, a.astype(np.float32), scale)
 
-        fp32_call = None
-        if a.values.dtype == np.float16:
-
-            def fp32_call(be: str) -> KernelResult:
-                return get_impl("sparse_softmax", be).run(
-                    ctx, a.astype(np.float32), scale
-                )
-
-        return _policy_dispatch(
-            ctx, "sparse_softmax", backend, validate, call,
-            operands=(a,), fp32_call=fp32_call, span=span,
-            workspace=_softmax_workspace(a),
-        )
+    return _dispatch(
+        ctx, "sparse_softmax", backend, validate,
+        lambda impl, cfg: impl.run(ctx, a, scale),
+        operands=(a,), fp32=fp32, workspace=_softmax_workspace(a),
+    )
 
 
 def sparse_softmax_cost(
@@ -454,25 +396,11 @@ def sparse_softmax_cost(
 ) -> ExecutionResult:
     """Simulated sparse-softmax cost only."""
     ctx = resolve_context(context, device)
-    with _op_span(ctx, "sparse_softmax", backend) as span:
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("sparse_softmax", backend)
-            with ctx.memory_scope(
-                "sparse_softmax", backend, (a,), _softmax_workspace(a)
-            ):
-                result = impl.cost(ctx, a)
-            ctx.telemetry.record_launch("sparse_softmax", backend, result)
-            span.add_sim(result.runtime_s)
-            return result
-
-        def call(be: str) -> ExecutionResult:
-            return get_impl("sparse_softmax", be).cost(ctx, a)
-
-        return _policy_dispatch(
-            ctx, "sparse_softmax", backend, validate, call,
-            operands=(a,), cost=True, span=span,
-            workspace=_softmax_workspace(a),
-        )
+    return _dispatch(
+        ctx, "sparse_softmax", backend, validate,
+        lambda impl, cfg: impl.cost(ctx, a),
+        operands=(a,), cost=True, workspace=_softmax_workspace(a),
+    )
 
 
 def spmm_batched(
@@ -501,46 +429,21 @@ def spmm_batched(
     if b_stack.ndim != 3:
         raise ValueError(f"B stack must be (H, k, n), got {b_stack.shape}")
     h = b_stack.shape[0]
-    with _op_span(ctx, "spmm_batched", backend) as span:
-        span.set(batch=h)
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("spmm_batched", backend)
-            ws = _spmm_workspace(a, b_stack.shape[2], h)
-            with ctx.memory_scope("spmm_batched", backend, (a,), ws):
-                result = impl.run(ctx, a, b_stack, config, selector, values)
-            ctx.telemetry.record_launch(
-                "spmm_batched", backend, result.execution
-            )
-            span.add_sim(result.execution.runtime_s)
-            return result
+    fp32 = None
+    if a.values.dtype == np.float16:
 
-        primary = as_policy(backend).backends[0]
+        def fp32(impl):
+            a32 = a.astype(np.float32)
+            b32 = np.asarray(b_stack, dtype=np.float32)
+            v32 = None if values is None else np.asarray(values, np.float32)
+            return impl.run(ctx, a32, b32, None, selector, v32)
 
-        def call(be: str) -> KernelResult:
-            cfg = config if be in (primary, "sputnik") else None
-            return get_impl("spmm_batched", be).run(
-                ctx, a, b_stack, cfg, selector, values
-            )
-
-        fp32_call = None
-        if a.values.dtype == np.float16:
-
-            def fp32_call(be: str) -> KernelResult:
-                a32 = a.astype(np.float32)
-                b32 = np.asarray(b_stack, dtype=np.float32)
-                v32 = (
-                    None if values is None
-                    else np.asarray(values, dtype=np.float32)
-                )
-                return get_impl("spmm_batched", be).run(
-                    ctx, a32, b32, None, selector, v32
-                )
-
-        return _policy_dispatch(
-            ctx, "spmm_batched", backend, validate, call,
-            operands=(a,), fp32_call=fp32_call, span=span,
-            workspace=_spmm_workspace(a, b_stack.shape[2], h),
-        )
+    return _dispatch(
+        ctx, "spmm_batched", backend, validate,
+        lambda impl, cfg: impl.run(ctx, a, b_stack, cfg, selector, values),
+        config=config, operands=(a,), fp32=fp32, batch=h,
+        workspace=_spmm_workspace(a, b_stack.shape[2], h),
+    )
 
 
 def spmm_batched_cost(
@@ -557,30 +460,12 @@ def spmm_batched_cost(
 ) -> ExecutionResult:
     """Simulated batched-SpMM cost only (``h`` stacked products)."""
     ctx = resolve_context(context, device)
-    with _op_span(ctx, "spmm_batched", backend) as span:
-        span.set(batch=h)
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("spmm_batched", backend)
-            ws = _spmm_workspace(a, n, h)
-            with ctx.memory_scope("spmm_batched", backend, (a,), ws):
-                result = impl.cost(ctx, a, n, h, config, selector)
-            ctx.telemetry.record_launch("spmm_batched", backend, result)
-            span.add_sim(result.runtime_s)
-            return result
-
-        primary = as_policy(backend).backends[0]
-
-        def call(be: str) -> ExecutionResult:
-            cfg = config if be in (primary, "sputnik") else None
-            return get_impl("spmm_batched", be).cost(
-                ctx, a, n, h, cfg, selector
-            )
-
-        return _policy_dispatch(
-            ctx, "spmm_batched", backend, validate, call,
-            operands=(a,), cost=True, span=span,
-            workspace=_spmm_workspace(a, n, h),
-        )
+    return _dispatch(
+        ctx, "spmm_batched", backend, validate,
+        lambda impl, cfg: impl.cost(ctx, a, n, h, cfg, selector),
+        config=config, operands=(a,), batch=h, cost=True,
+        workspace=_spmm_workspace(a, n, h),
+    )
 
 
 def sddmm_batched(
@@ -608,34 +493,14 @@ def sddmm_batched(
             f"lhs stack must be (H, rows, k), got {lhs_stack.shape}"
         )
     h = lhs_stack.shape[0]
-    with _op_span(ctx, "sddmm_batched", backend) as span:
-        span.set(batch=h)
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("sddmm_batched", backend)
-            ws = _sddmm_workspace(mask, lhs_stack.shape[2], h)
-            with ctx.memory_scope("sddmm_batched", backend, (mask,), ws):
-                result = impl.run(
-                    ctx, lhs_stack, rhs_stack, mask, config, selector
-                )
-            ctx.telemetry.record_launch(
-                "sddmm_batched", backend, result.execution
-            )
-            span.add_sim(result.execution.runtime_s)
-            return result
-
-        primary = as_policy(backend).backends[0]
-
-        def call(be: str) -> KernelResult:
-            cfg = config if be in (primary, "sputnik") else None
-            return get_impl("sddmm_batched", be).run(
-                ctx, lhs_stack, rhs_stack, mask, cfg, selector
-            )
-
-        return _policy_dispatch(
-            ctx, "sddmm_batched", backend, validate, call,
-            operands=(mask,), span=span,
-            workspace=_sddmm_workspace(mask, lhs_stack.shape[2], h),
-        )
+    return _dispatch(
+        ctx, "sddmm_batched", backend, validate,
+        lambda impl, cfg: impl.run(
+            ctx, lhs_stack, rhs_stack, mask, cfg, selector
+        ),
+        config=config, operands=(mask,), batch=h,
+        workspace=_sddmm_workspace(mask, lhs_stack.shape[2], h),
+    )
 
 
 def sddmm_batched_cost(
@@ -652,30 +517,12 @@ def sddmm_batched_cost(
 ) -> ExecutionResult:
     """Simulated batched-SDDMM cost only (``h`` stacked products)."""
     ctx = resolve_context(context, device)
-    with _op_span(ctx, "sddmm_batched", backend) as span:
-        span.set(batch=h)
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("sddmm_batched", backend)
-            ws = _sddmm_workspace(mask, k, h)
-            with ctx.memory_scope("sddmm_batched", backend, (mask,), ws):
-                result = impl.cost(ctx, mask, k, h, config, selector)
-            ctx.telemetry.record_launch("sddmm_batched", backend, result)
-            span.add_sim(result.runtime_s)
-            return result
-
-        primary = as_policy(backend).backends[0]
-
-        def call(be: str) -> ExecutionResult:
-            cfg = config if be in (primary, "sputnik") else None
-            return get_impl("sddmm_batched", be).cost(
-                ctx, mask, k, h, cfg, selector
-            )
-
-        return _policy_dispatch(
-            ctx, "sddmm_batched", backend, validate, call,
-            operands=(mask,), cost=True, span=span,
-            workspace=_sddmm_workspace(mask, k, h),
-        )
+    return _dispatch(
+        ctx, "sddmm_batched", backend, validate,
+        lambda impl, cfg: impl.cost(ctx, mask, k, h, cfg, selector),
+        config=config, operands=(mask,), batch=h, cost=True,
+        workspace=_sddmm_workspace(mask, k, h),
+    )
 
 
 def sparse_softmax_batched(
@@ -695,37 +542,18 @@ def sparse_softmax_batched(
     if values.ndim != 2:
         raise ValueError(f"value matrix must be (nnz, H), got {values.shape}")
     h = values.shape[1]
-    with _op_span(ctx, "sparse_softmax_batched", backend) as span:
-        span.set(batch=h)
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("sparse_softmax_batched", backend)
-            ws = _softmax_workspace(a, h)
-            with ctx.memory_scope("sparse_softmax_batched", backend, (a,), ws):
-                result = impl.run(ctx, a, values, scale)
-            ctx.telemetry.record_launch(
-                "sparse_softmax_batched", backend, result.execution
-            )
-            span.add_sim(result.execution.runtime_s)
-            return result
+    fp32 = None
+    if values.dtype == np.float16:
 
-        def call(be: str) -> KernelResult:
-            return get_impl("sparse_softmax_batched", be).run(
-                ctx, a, values, scale
-            )
+        def fp32(impl):
+            return impl.run(ctx, a, np.asarray(values, np.float32), scale)
 
-        fp32_call = None
-        if values.dtype == np.float16:
-
-            def fp32_call(be: str) -> KernelResult:
-                return get_impl("sparse_softmax_batched", be).run(
-                    ctx, a, np.asarray(values, dtype=np.float32), scale
-                )
-
-        return _policy_dispatch(
-            ctx, "sparse_softmax_batched", backend, validate, call,
-            operands=(a,), fp32_call=fp32_call, span=span,
-            workspace=_softmax_workspace(a, h),
-        )
+    return _dispatch(
+        ctx, "sparse_softmax_batched", backend, validate,
+        lambda impl, cfg: impl.run(ctx, a, values, scale),
+        operands=(a,), fp32=fp32, batch=h,
+        workspace=_softmax_workspace(a, h),
+    )
 
 
 def sparse_softmax_batched_cost(
@@ -739,27 +567,12 @@ def sparse_softmax_batched_cost(
 ) -> ExecutionResult:
     """Simulated batched sparse-softmax cost only (``h`` value columns)."""
     ctx = resolve_context(context, device)
-    with _op_span(ctx, "sparse_softmax_batched", backend) as span:
-        span.set(batch=h)
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("sparse_softmax_batched", backend)
-            ws = _softmax_workspace(a, h)
-            with ctx.memory_scope("sparse_softmax_batched", backend, (a,), ws):
-                result = impl.cost(ctx, a, h)
-            ctx.telemetry.record_launch(
-                "sparse_softmax_batched", backend, result
-            )
-            span.add_sim(result.runtime_s)
-            return result
-
-        def call(be: str) -> ExecutionResult:
-            return get_impl("sparse_softmax_batched", be).cost(ctx, a, h)
-
-        return _policy_dispatch(
-            ctx, "sparse_softmax_batched", backend, validate, call,
-            operands=(a,), cost=True, span=span,
-            workspace=_softmax_workspace(a, h),
-        )
+    return _dispatch(
+        ctx, "sparse_softmax_batched", backend, validate,
+        lambda impl, cfg: impl.cost(ctx, a, h),
+        operands=(a,), batch=h, cost=True,
+        workspace=_softmax_workspace(a, h),
+    )
 
 
 def csc_spmm(
@@ -774,23 +587,12 @@ def csc_spmm(
 ) -> KernelResult:
     """``C = B @ A`` with CSC ``A`` and column-major ``B``/``C``."""
     ctx = resolve_context(context, device)
-    with _op_span(ctx, "csc_spmm", backend) as span:
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("csc_spmm", backend)
-            ws = _spmm_workspace(a, b.shape[0])
-            with ctx.memory_scope("csc_spmm", backend, (a,), ws):
-                result = impl.run(ctx, b, a, config)
-            ctx.telemetry.record_launch("csc_spmm", backend, result.execution)
-            span.add_sim(result.execution.runtime_s)
-            return result
-
-        def call(be: str) -> KernelResult:
-            return get_impl("csc_spmm", be).run(ctx, b, a, config)
-
-        return _policy_dispatch(
-            ctx, "csc_spmm", backend, validate, call, operands=(a,),
-            span=span, workspace=_spmm_workspace(a, b.shape[0]),
-        )
+    return _dispatch(
+        ctx, "csc_spmm", backend, validate,
+        lambda impl, cfg: impl.run(ctx, b, a, cfg),
+        config=config, operands=(a,),
+        workspace=_spmm_workspace(a, b.shape[0]),
+    )
 
 
 def csc_spmm_cost(
@@ -805,24 +607,12 @@ def csc_spmm_cost(
 ) -> ExecutionResult:
     """Simulated CSC-SpMM cost only (``n`` = rows of the dense left operand)."""
     ctx = resolve_context(context, device)
-    with _op_span(ctx, "csc_spmm", backend) as span:
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("csc_spmm", backend)
-            ws = _spmm_workspace(a, n)
-            with ctx.memory_scope("csc_spmm", backend, (a,), ws):
-                result = impl.cost(ctx, a, n, config)
-            ctx.telemetry.record_launch("csc_spmm", backend, result)
-            span.add_sim(result.runtime_s)
-            return result
-
-        def call(be: str) -> ExecutionResult:
-            return get_impl("csc_spmm", be).cost(ctx, a, n, config)
-
-        return _policy_dispatch(
-            ctx, "csc_spmm", backend, validate, call,
-            operands=(a,), cost=True, span=span,
-            workspace=_spmm_workspace(a, n),
-        )
+    return _dispatch(
+        ctx, "csc_spmm", backend, validate,
+        lambda impl, cfg: impl.cost(ctx, a, n, cfg),
+        config=config, operands=(a,), cost=True,
+        workspace=_spmm_workspace(a, n),
+    )
 
 
 def matmul(
@@ -838,27 +628,13 @@ def matmul(
     ctx = resolve_context(context, device)
     a = np.asarray(a)
     b = np.asarray(b)
-    with _op_span(ctx, "matmul", backend) as span:
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("matmul", backend)
-            ws = _gemm_workspace(
-                a.shape[0], b.shape[1], a.shape[1], a.dtype.itemsize
-            )
-            with ctx.memory_scope("matmul", backend, (), ws):
-                result = impl.run(ctx, a, b)
-            ctx.telemetry.record_launch("matmul", backend, result.execution)
-            span.add_sim(result.execution.runtime_s)
-            return result
-
-        def call(be: str) -> KernelResult:
-            return get_impl("matmul", be).run(ctx, a, b)
-
-        return _policy_dispatch(
-            ctx, "matmul", backend, validate, call, span=span,
-            workspace=_gemm_workspace(
-                a.shape[0], b.shape[1], a.shape[1], a.dtype.itemsize
-            ),
-        )
+    return _dispatch(
+        ctx, "matmul", backend, validate,
+        lambda impl, cfg: impl.run(ctx, a, b),
+        workspace=_gemm_workspace(
+            a.shape[0], b.shape[1], a.shape[1], a.dtype.itemsize
+        ),
+    )
 
 
 def matmul_cost(
@@ -874,20 +650,8 @@ def matmul_cost(
 ) -> ExecutionResult:
     """Simulated dense-GEMM cost only."""
     ctx = resolve_context(context, device)
-    with _op_span(ctx, "matmul", backend) as span:
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("matmul", backend)
-            ws = _gemm_workspace(m, n, k, element_bytes)
-            with ctx.memory_scope("matmul", backend, (), ws):
-                result = impl.cost(ctx, m, n, k, element_bytes)
-            ctx.telemetry.record_launch("matmul", backend, result)
-            span.add_sim(result.runtime_s)
-            return result
-
-        def call(be: str) -> ExecutionResult:
-            return get_impl("matmul", be).cost(ctx, m, n, k, element_bytes)
-
-        return _policy_dispatch(
-            ctx, "matmul", backend, validate, call, cost=True, span=span,
-            workspace=_gemm_workspace(m, n, k, element_bytes),
-        )
+    return _dispatch(
+        ctx, "matmul", backend, validate,
+        lambda impl, cfg: impl.cost(ctx, m, n, k, element_bytes),
+        cost=True, workspace=_gemm_workspace(m, n, k, element_bytes),
+    )

@@ -132,8 +132,9 @@ def _cusparse_spmm_run(ctx, a, b, config, selector):
     return result
 
 
-def _cusparse_spmm_cost(ctx, a, n, config, selector, precision="fp32"):
+def _cusparse_spmm_cost(ctx, a, n, config, selector):
     _reject_config("cusparse", config)
+    precision = "mixed" if a.values.dtype == np.float16 else "fp32"
     key = ("spmm", "cusparse", matrix_fingerprint(a), n, precision)
     return ctx.cost(
         key,

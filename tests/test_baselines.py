@@ -15,6 +15,7 @@ from repro.baselines import (
     preprocessing_execution,
 )
 from repro.baselines.cublas import gemm_execution, transpose_execution
+from repro.baselines.cusparse import spmm_launch
 from repro.bench import cusparse_spmm_time, sputnik_spmm_time
 from repro.core import spmm
 from repro.sparse import sddmm_reference, spmm_reference
@@ -38,9 +39,9 @@ class TestCusparseSpmm:
     def test_mixed_precision_fallback_pathology(self, rng, device):
         """Shapes missing the fp16 wide-tile requirement fall off a cliff
         (the paper's 297.5x outliers)."""
-        a = random_sparse(rng, 512, 512, 0.3)
-        aligned = cusparse_spmm_time(a, 128, device, precision="mixed")
-        fallback = cusparse_spmm_time(a, 36, device, precision="mixed")
+        a = random_sparse(rng, 512, 512, 0.3, dtype=np.float16)
+        aligned = cusparse_spmm_time(a, 128, device)
+        fallback = cusparse_spmm_time(a, 36, device)
         per_col_aligned = aligned.runtime_s / 128
         per_col_fallback = fallback.runtime_s / 36
         assert per_col_fallback > 5 * per_col_aligned
@@ -53,7 +54,7 @@ class TestCusparseSpmm:
     def test_unknown_precision_rejected(self, rng, device):
         a = random_sparse(rng, 8, 8, 0.5)
         with pytest.raises(ValueError):
-            cusparse_spmm_time(a, 8, device, precision="fp64")
+            spmm_launch(a, 8, device, precision="fp64")
 
 
 class TestCusparseSddmm:

@@ -24,6 +24,80 @@ def dense_batch(rng, rows, cols):
     return rng.standard_normal((rows, cols)).astype(np.float32)
 
 
+def op_calls(rng, dtype):
+    """op -> (run, cost), each ``f(context, backend)`` over one problem.
+
+    The two calls of a pair describe the same problem (a 256x48 20% mask,
+    inner dimension 16, 32 dense columns, two heads), so a run's
+    ``execution`` must equal its cost call.
+    """
+    a = random_sparse(rng, 256, 48, 0.2, dtype=dtype)
+    csc = csr_to_csc(a)
+    h, k, n = 2, 16, 32
+
+    def dense(*shape):
+        return rng.standard_normal(shape).astype(dtype)
+
+    b, b_stack, g = dense(48, n), dense(h, 48, n), dense(256, 48)
+    lhs, rhs, left = dense(h, 256, k), dense(h, 48, k), dense(n, 256)
+    values = dense(a.nnz, h)
+    width = np.dtype(dtype).itemsize
+    return {
+        "spmm": (
+            lambda c, be: ops.spmm(a, b, context=c, backend=be),
+            lambda c, be: ops.spmm_cost(a, n, context=c, backend=be),
+        ),
+        "sddmm": (
+            lambda c, be: ops.sddmm(lhs[0], rhs[0], a, context=c, backend=be),
+            lambda c, be: ops.sddmm_cost(a, k, context=c, backend=be),
+        ),
+        "sparse_softmax": (
+            lambda c, be: ops.sparse_softmax(a, context=c, backend=be),
+            lambda c, be: ops.sparse_softmax_cost(a, context=c, backend=be),
+        ),
+        "spmm_batched": (
+            lambda c, be: ops.spmm_batched(a, b_stack, context=c, backend=be),
+            lambda c, be: ops.spmm_batched_cost(
+                a, n, h, context=c, backend=be
+            ),
+        ),
+        "sddmm_batched": (
+            lambda c, be: ops.sddmm_batched(
+                lhs, rhs, a, context=c, backend=be
+            ),
+            lambda c, be: ops.sddmm_batched_cost(
+                a, k, h, context=c, backend=be
+            ),
+        ),
+        "sparse_softmax_batched": (
+            lambda c, be: ops.sparse_softmax_batched(
+                a, values, context=c, backend=be
+            ),
+            lambda c, be: ops.sparse_softmax_batched_cost(
+                a, h, context=c, backend=be
+            ),
+        ),
+        "csc_spmm": (
+            lambda c, be: ops.csc_spmm(left, csc, context=c, backend=be),
+            lambda c, be: ops.csc_spmm_cost(csc, n, context=c, backend=be),
+        ),
+        "matmul": (
+            lambda c, be: ops.matmul(g, b, context=c, backend=be),
+            lambda c, be: ops.matmul_cost(
+                256, n, 48, element_bytes=width, context=c, backend=be
+            ),
+        ),
+    }
+
+
+def execution_summary(e):
+    """The scalar fields of an ExecutionResult (its schedule holds arrays)."""
+    return (
+        e.name, e.runtime_s, e.flops, e.dram_bytes, e.l2_bytes, e.l1_bytes,
+        e.smem_bytes, e.n_blocks, e.phases,
+    )
+
+
 class TestPlanCacheInvariants:
     def test_repeat_call_hits_and_is_bitwise_identical(self, rng, ctx):
         a = random_sparse(rng, 96, 64, 0.3)
@@ -172,12 +246,27 @@ class TestOperatorEquivalence:
         assert (routed.output == direct.output).all()
         assert routed.execution.runtime_s == direct.execution.runtime_s
 
-    def test_cost_paths_match_run_paths(self, rng, ctx):
-        a = random_sparse(rng, 64, 48, 0.3)
-        b = dense_batch(rng, 48, 16)
-        run = ops.spmm(a, b, context=ctx)
-        cost = ops.spmm_cost(a, 16, context=ctx)
-        assert cost.runtime_s == run.execution.runtime_s
+    @pytest.mark.parametrize(
+        "op, backend, dtype",
+        [
+            (*key.split("/"), dtype)
+            for key in sorted(ops.available())
+            for dtype in (np.float32, np.float16)
+            # The paper's SDDMM kernels are fp32 only: their run path
+            # rejects an fp16 mask.
+            if not (key.startswith("sddmm") and key.endswith("/sputnik")
+                    and dtype == np.float16)
+        ],
+        ids=lambda v: np.dtype(v).name if isinstance(v, type) else v,
+    )
+    def test_cost_paths_match_run_paths(self, rng, ctx, op, backend, dtype):
+        """A run's ``execution`` equals its ``cost`` call, for every
+        registered backend and both value precisions."""
+        run, cost = op_calls(rng, dtype)[op]
+        assert (
+            run(ctx, backend).execution.runtime_s
+            == cost(ctx, backend).runtime_s
+        )
 
     def test_oracle_selector_matches_oracle_config(self, rng, ctx):
         from repro.tune import oracle_spmm_config
@@ -188,6 +277,35 @@ class TestOperatorEquivalence:
         direct = core.spmm(a, b, V100, config)
         routed = ops.spmm(a, b, selector="oracle", context=ctx)
         assert routed.execution.runtime_s == direct.execution.runtime_s
+
+
+class TestDispatchBranches:
+    """A plain backend string (the fast path) and the one-element chain
+    (the policy loop) run the same work for every public op."""
+
+    @pytest.mark.parametrize("kind", ["run", "cost"])
+    @pytest.mark.parametrize(
+        "op", sorted({key.split("/")[0] for key in ops.available()})
+    )
+    def test_fast_path_matches_policy_path(self, rng, op, kind):
+        call = op_calls(rng, np.float32)[op][kind == "cost"]
+        backend = "cublas" if op == "matmul" else "sputnik"
+        results, rows = [], []
+        for chain in (backend, [backend]):
+            c = ExecutionContext(V100)
+            results.append(call(c, chain))
+            rows.append(c.telemetry_snapshot()[f"{op}/{backend}"])
+        fast, policy = results
+        if kind == "run":
+            out_fast, out_policy = (
+                getattr(r.output, "values", r.output) for r in results
+            )
+            assert out_fast.dtype == out_policy.dtype
+            assert out_fast.tobytes() == out_policy.tobytes()
+            fast, policy = fast.execution, policy.execution
+        assert execution_summary(fast) == execution_summary(policy)
+        for key in ("launches", "simulated_seconds"):
+            assert rows[0][key] == rows[1][key]
 
 
 class TestRegistry:
