@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.repair import column_histogram, touched_columns
 from ..core.types import KernelResult
 from ..gpu.device import DeviceSpec
 from ..gpu.executor import BlockCosts, ExecutionResult, KernelLaunch, execute
@@ -142,7 +143,7 @@ def _panel_launch(
 
     # Light-path loads see the same synchronized-column L1 locality as any
     # row-split kernel (sorted indices, similar row lengths).
-    touched = len(np.unique(a.column_indices)) if a.nnz else 0
+    touched = touched_columns(column_histogram(a))
     avg_row = a.nnz / a.n_rows if a.n_rows else 0.0
     rows_per_sm = 4 * PANEL_ROWS // 4  # ~4 resident worker blocks
     lpe = rows_per_sm * avg_row / touched if touched else 0.0

@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.config import SddmmConfig, SpmmConfig
+from ..core.repair import column_histogram, touched_columns
 from ..core.sddmm import build_launch as sputnik_sddmm_launch
 from ..core.types import KernelResult
 from ..gpu.device import DeviceSpec
@@ -115,7 +116,7 @@ def spmm_launch(
     # synchronized column order (same effect as in our kernel), but only
     # ROWS_PER_BLOCK rows share a block and the column-major layout doubles
     # the footprint of every window.
-    touched = len(np.unique(a.column_indices)) if a.nnz else 0
+    touched = touched_columns(column_histogram(a))
     resident = 8  # typical for the 128-thread, 40-register kernel
     avg_row = a.nnz / a.n_rows if a.n_rows else 0.0
     rows_per_sm = resident * ROWS_PER_BLOCK

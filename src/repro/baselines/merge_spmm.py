@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.repair import column_histogram, touched_columns
 from ..core.types import KernelResult
 from ..gpu.device import DeviceSpec
 from ..gpu.executor import BlockCosts, KernelLaunch, execute
@@ -73,7 +74,7 @@ def spmm_launch(a: CSRMatrix, n: int, device: DeviceSpec) -> KernelLaunch:
     # L1 locality: sorted CSR indices give the same synchronized column
     # streaming as our kernel (row-major coalesced loads help here relative
     # to cuSPARSE's column-major layout).
-    touched = len(np.unique(a.column_indices)) if a.nnz else 0
+    touched = touched_columns(column_histogram(a))
     resident = 8
     avg_row = a.nnz / a.n_rows if a.n_rows else 0.0
     rows_per_sm = resident * ROWS_PER_BLOCK

@@ -3,9 +3,9 @@
 Dynamic sparse training (RigL-style drop/grow) mutates a weight matrix's
 topology every N steps, editing a small fraction of its rows. Every plan in
 the cache stack is keyed by a structural fingerprint, so each mutation is a
-cold miss and a full re-plan — and the expensive part of planning is the
-O(nnz log nnz) column analysis (``np.unique`` over the column indices) that
-an edit of 5% of the rows barely changes.
+cold miss and a full re-plan — which re-sorts every row for the swizzle and
+re-counts every column (an O(nnz) histogram, :func:`column_histogram`), even
+though an edit of 5% of the rows barely changes either.
 
 This module holds the pieces of repair that are independent of any one
 kernel:
@@ -15,11 +15,16 @@ kernel:
   slices) that the parent matrix itself can be dropped.
 - :func:`edited_rows` — structural diff between two same-shape CSR
   matrices, for callers that mutated a topology without tracking rows.
-- :func:`repair_column_histogram` — the incremental replacement for the
-  per-plan ``np.unique`` column analysis: maintain a column histogram,
-  subtract the edited rows' old columns, add their new ones. The number of
-  touched columns (``count_nonzero``) is bit-identical to
-  ``len(np.unique(column_indices))``.
+- :func:`column_histogram` / :func:`touched_columns` — the distinct-column
+  count every cost model uses: ``count_nonzero`` of a ``bincount``, equal
+  to ``len(np.unique(column_indices))`` at O(nnz + n_cols) instead of
+  O(nnz log nnz).
+- :func:`repair_column_histogram` — the incremental form for plan repair:
+  take the parent's histogram, subtract the edited rows' old columns, add
+  their new ones.
+- :func:`lengths_kept` — whether the edit kept every row's length, in
+  which case the parent plan's row structure (and, with an unchanged
+  touched-column count, its whole launch) is the child's.
 
 Kernel-specific repair lives next to each planner (``core.spmm``,
 ``core.sddmm``, ``dist.partition``); the cache-lookup policy (exact hit ->
@@ -178,10 +183,10 @@ def repair_column_histogram(
 
     With parent counts available this is O(edited nnz + n_cols); without
     (the ancestor was a cold plan, which carries no histogram) it falls
-    back to a fresh O(nnz) bincount — still far cheaper than the
-    O(nnz log nnz) ``np.unique`` it replaces. The result is validated
-    against the child (non-negative, sums to nnz) so a drifted histogram
-    raises instead of silently mis-costing the plan.
+    back to a fresh O(nnz) :func:`column_histogram`, the same count a cold
+    plan takes. The result is validated against the child (non-negative,
+    sums to nnz) so a drifted histogram raises instead of silently
+    mis-costing the plan.
     """
     if parent_counts is None:
         return column_histogram(child)
@@ -217,6 +222,22 @@ def repair_column_histogram(
             f"topology (sum={int(counts.sum())}, nnz={child.nnz})"
         )
     return counts
+
+
+def lengths_kept(delta: TopologyDelta, child: CSRMatrix) -> bool:
+    """Whether every edited row kept its parent length.
+
+    RigL's drop-k/grow-k update does, so the child's row offsets, and
+    with them every row-structure product of planning (swizzle order, row
+    groups, ROMA extents, SDDMM strips), equal the parent's; only the
+    column histogram moves.
+    """
+    rows = _as_sorted_rows(delta.rows, child.n_rows)
+    if rows.size != delta.old_lengths.size:
+        return False
+    offsets = child.row_offsets
+    lengths = offsets[rows + 1] - offsets[rows]
+    return bool(np.array_equal(lengths, delta.old_lengths))
 
 
 def touched_columns(counts: np.ndarray) -> int:

@@ -16,7 +16,7 @@ to preserve L1 capacity (Section VI-A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +29,8 @@ from ..sparse.ops import sddmm_batched_reference, sddmm_flops, sddmm_reference
 from .config import SddmmConfig
 from .repair import (
     TopologyDelta,
+    column_histogram,
+    lengths_kept,
     repair_column_histogram,
     touched_columns,
 )
@@ -161,7 +163,7 @@ def build_launch(
     occ = compute_occupancy(resources, device)
     resident = min(occ.blocks_per_sm, -(-n_real // device.num_sms))
     if touched_cols is None:
-        touched_cols = len(np.unique(mask.column_indices))
+        touched_cols = touched_columns(column_histogram(mask))
     strip_mean = float(strip_nnz.mean())
     l1_cap = float(device.l1_capacity_per_sm)
 
@@ -289,11 +291,14 @@ def repair_sddmm_plan(
 ) -> SddmmPlan:
     """Repair a parent plan for the edited mask (DESIGN.md §17).
 
-    Merges the parent's strip order over the edited rows and repairs its
-    column histogram incrementally; the per-strip cost vectors are cheap
-    and rebuilt outright. Bit-identical to ``plan_sddmm(mask, k, device,
-    config)``; inconsistencies raise ``PlanRepairError`` (dispatch falls
-    back to a cold re-plan).
+    Repairs the parent's column histogram over the edited rows. When
+    every edited row kept its length the parent's strip order is reused,
+    and if the touched-column count is unchanged too the parent's launch,
+    drag and simulated run carry over. Otherwise the strip order is merged
+    over the edited rows and the per-strip cost vectors are rebuilt.
+    Bit-identical to ``plan_sddmm(mask, k, device, config)``;
+    inconsistencies raise ``PlanRepairError`` (dispatch falls back to a
+    cold re-plan).
     """
     from ..reliability.errors import PlanRepairError
 
@@ -303,21 +308,29 @@ def repair_sddmm_plan(
             f"mask {plan.mask_shape}"
         )
     config = plan.config
-    if config.load_balance:
+    counts = repair_column_histogram(plan.col_counts, delta, mask)
+    touched = touched_columns(counts)
+    kept = plan.row_order is not None and lengths_kept(delta, mask)
+    if kept and plan.col_counts is not None and touched == touched_columns(
+        plan.col_counts
+    ):
+        return replace(plan, col_counts=counts)
+    if kept:
+        order = plan.row_order
+    elif config.load_balance:
         if plan.row_order is not None:
             order = merge_swizzle(plan.row_order, mask.row_lengths, delta.rows)
-        else:  # pre-repair store entry: re-sort (still skips np.unique)
+        else:  # pre-repair store entry: re-sort
             order = row_swizzle(mask.row_lengths)
     else:
         order = identity_swizzle(mask.n_rows)
-    counts = repair_column_histogram(plan.col_counts, delta, mask)
     launch, drag = build_launch(
         mask,
         plan.k,
         config,
         plan.device,
         order=order,
-        touched_cols=touched_columns(counts),
+        touched_cols=touched,
     )
     return SddmmPlan(
         config=config,

@@ -17,7 +17,7 @@ exists to remove.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +37,8 @@ from .roma import (
 )
 from .repair import (
     TopologyDelta,
+    column_histogram,
+    lengths_kept,
     repair_column_histogram,
     touched_columns,
 )
@@ -128,7 +130,7 @@ def _launch_from_analysis(
 
     ``touched_cols`` (the count of distinct referenced columns) may be
     supplied by plan repair, which maintains it incrementally; when absent
-    it is derived from the column indices as usual.
+    it is counted from an O(nnz) column histogram.
     """
     gx, gy = tiling.grid(a.n_rows, n)
     vb = config.element_bytes
@@ -222,7 +224,7 @@ def _launch_from_analysis(
     # easily holds — the "locality serviced through caches" the paper
     # predicts for subwarp tiling.
     if touched_cols is None:
-        touched_cols = len(np.unique(a.column_indices)) if a.nnz else 0
+        touched_cols = touched_columns(column_histogram(a))
     occ = compute_occupancy(resources, device)
     resident = min(occ.blocks_per_sm, -(-gx * gy // device.num_sms))
     rows_per_sm = resident * tiling.block_items_y
@@ -356,10 +358,13 @@ def repair_spmm_plan(
 ) -> SpmmPlan:
     """Repair a parent plan for the edited topology ``a`` (DESIGN.md §17).
 
-    Reuses the parent's swizzle order (merged over the edited rows) and
-    its column histogram (updated incrementally) instead of re-running the
-    full O(nnz log nnz) column analysis; the row extents and the launch
-    cost vectors are cheap and recomputed outright. The result is
+    Updates the parent's column histogram over the edited rows instead of
+    re-counting every column. When every edited row kept its length
+    (RigL's drop-k/grow-k), the parent's row order, groups and extents are
+    reused as they are, and if the touched-column count is unchanged too
+    the parent's launch and simulated run carry over: the repair is
+    O(edited nnz + n_cols). Otherwise the swizzle order is merged over the
+    edited rows and the extents and launch are recomputed. The result is
     bit-identical to ``plan_spmm(a, n, device, config)``. Inconsistencies
     raise :class:`~repro.reliability.errors.PlanRepairError`, which the
     dispatch layer converts into a cold re-plan.
@@ -378,16 +383,26 @@ def repair_spmm_plan(
             f"plan is {config.precision}"
         )
     tiling = plan.tiling
-    if config.load_balance:
-        order = merge_swizzle(plan.row_order, a.row_lengths, delta.rows)
-    else:
-        order = identity_swizzle(a.n_rows)
-    groups = group_rows(order, tiling.block_items_y)
-    use_vector_a = config.vector_width > 1 and config.roma
-    extents = (
-        align_rows(a, config.vector_width) if use_vector_a else unaligned_rows(a)
-    )
     counts = repair_column_histogram(plan.col_counts, delta, a)
+    touched = touched_columns(counts)
+    if lengths_kept(delta, a):
+        if plan.col_counts is not None and touched == touched_columns(
+            plan.col_counts
+        ):
+            return replace(plan, col_counts=counts)
+        order, groups, extents = plan.row_order, plan.row_groups, plan.extents
+    else:
+        if config.load_balance:
+            order = merge_swizzle(plan.row_order, a.row_lengths, delta.rows)
+        else:
+            order = identity_swizzle(a.n_rows)
+        groups = group_rows(order, tiling.block_items_y)
+        use_vector_a = config.vector_width > 1 and config.roma
+        extents = (
+            align_rows(a, config.vector_width)
+            if use_vector_a
+            else unaligned_rows(a)
+        )
     launch = _launch_from_analysis(
         a,
         plan.n,
@@ -396,7 +411,7 @@ def repair_spmm_plan(
         tiling,
         groups,
         extents,
-        touched_cols=touched_columns(counts),
+        touched_cols=touched,
     )
     return SpmmPlan(
         config=config,

@@ -11,6 +11,9 @@ cost thousands of thread blocks in a single call.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 import numpy as np
 
 from .device import DeviceSpec
@@ -147,13 +150,33 @@ def latency_hiding_factor(resident_warps: float, device: DeviceSpec) -> float:
     return float(np.sqrt(x * (2.0 - x)))
 
 
+@contextmanager
+def write_through(array: np.ndarray) -> Iterator[np.ndarray]:
+    """Lift ``array``'s read-only flag for the block, then put it back.
+
+    Sparse matrices freeze their structure arrays; only the simulated
+    memory-corruption model (:func:`flip_bit`) and the fault injector's
+    restore of the flipped element write through that flag.
+    """
+    frozen = not array.flags.writeable
+    if frozen:
+        array.flags.writeable = True
+    try:
+        yield array
+    finally:
+        if frozen:
+            array.flags.writeable = False
+
+
 def flip_bit(array: np.ndarray, element_index: int, bit: int) -> int:
     """Flip one bit of one element of an integer buffer, in place.
 
     Models an uncorrected memory error (ECC disabled or a double-bit upset)
     in device-resident metadata — the fault class the reliability layer's
     deep validation (checksums over CSR structure arrays) exists to catch.
-    Returns the element's original value so a repair path can restore it.
+    Hardware does not honour a read-only flag, so the flip writes through
+    a frozen array and leaves it frozen. Returns the element's original
+    value so a repair path can restore it.
     """
     if array.dtype.kind not in "iu":
         raise TypeError(f"flip_bit targets integer buffers, got {array.dtype}")
@@ -164,10 +187,11 @@ def flip_bit(array: np.ndarray, element_index: int, bit: int) -> int:
         raise ValueError(
             f"element {element_index} out of range for size {array.size}"
         )
-    flat = array.reshape(-1)
-    original = int(flat[element_index])
-    unsigned = flat.view(f"u{array.dtype.itemsize}")
-    unsigned[element_index] ^= np.asarray(1, dtype=unsigned.dtype) << bit
+    with write_through(array):
+        flat = array.reshape(-1)
+        original = int(flat[element_index])
+        unsigned = flat.view(f"u{array.dtype.itemsize}")
+        unsigned[element_index] ^= np.asarray(1, dtype=unsigned.dtype) << bit
     return original
 
 

@@ -8,14 +8,19 @@ pattern, and repeated benchmark invocations all hit the same plan.
 
 The cache key is a :func:`matrix_fingerprint` — a content hash of the
 structure arrays — so "matrix identity" is structural, not ``id()``-based:
-rebuilding an identical CSR matrix still hits, and mutating a topology in
-place misses (the fingerprint changes), which is exactly the invalidation
-the paper's setup/compute split requires (Section IX).
+rebuilding an identical CSR matrix still hits, and a rebuilt matrix with a
+different topology misses. The paper's setup/compute split (Section IX)
+pays topology analysis once per topology; here that holds per matrix too.
+CSR and CSC matrices freeze their structure arrays at construction, so each
+matrix is hashed once (a CSR matrix at construction, where the hash doubles
+as its corruption checksum; a CSC matrix on first use) and a warm lookup
+costs an attribute read. An in-place write to a cached topology
+raises ``ValueError`` (the array is read-only) instead of re-keying or
+staling the plan: a new topology is a new matrix.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
@@ -23,6 +28,7 @@ import numpy as np
 
 from ..core.repair import TopologyDelta, edited_rows, make_delta
 from ..reliability.errors import PlanCorruptionError
+from ..sparse.csr import structure_digest
 
 
 class _PoisonedEntry:
@@ -57,13 +63,20 @@ def matrix_fingerprint(matrix: Any) -> str:
     Values are deliberately excluded — plans are valid across value updates
     (e.g. an optimizer step on a fixed sparsity pattern). Works on CSR
     (``row_offsets``/``column_indices``) and CSC (``col_offsets``/
-    ``row_indices``) matrices by duck typing.
+    ``row_indices``) matrices by duck typing. A
+    :class:`~repro.sparse.csr.CSRMatrix` carries its fingerprint from
+    construction (it is the structure checksum :meth:`validate_deep`
+    checks against). Other matrices are hashed on first use, and the hash
+    is memoized on the matrix (``_structure_fp``) when both structure
+    arrays are read-only, as they are on every
+    :class:`~repro.sparse.csc.CSCMatrix`; a duck type with writeable
+    arrays is re-hashed on every call.
     """
     cached = getattr(matrix, "_structure_fp", None)
     if cached is not None:
         return cached
     if hasattr(matrix, "row_offsets"):
-        kind = b"csr"
+        kind = b""
         offsets = matrix.row_offsets
         indices = matrix.column_indices
     elif hasattr(matrix, "col_offsets"):
@@ -75,29 +88,14 @@ def matrix_fingerprint(matrix: Any) -> str:
             f"cannot fingerprint {type(matrix).__name__}: expected a CSR or "
             "CSC matrix"
         )
-    h = hashlib.blake2b(digest_size=16)
-    h.update(kind)
-    h.update(repr(tuple(matrix.shape)).encode())
-    h.update(str(matrix.values.dtype).encode())
-    h.update(np.ascontiguousarray(offsets).tobytes())
-    h.update(np.ascontiguousarray(indices).tobytes())
-    return h.hexdigest()
-
-
-def _stamp_fingerprint(matrix: Any, fp: str) -> None:
-    """Memoize ``fp`` on ``matrix`` (``_structure_fp``).
-
-    Only :func:`topology_delta` stamps: matrices flowing through the
-    dynamic-sparsity path are structurally immutable by contract (each
-    mutation builds a *new* child CSR), so re-hashing ~nnz bytes on every
-    plan lookup of a training step is pure waste. Matrices that never meet
-    a delta keep the hash-on-every-call behaviour, including the
-    documented in-place-mutation-changes-the-fingerprint property.
-    """
-    try:
-        object.__setattr__(matrix, "_structure_fp", fp)
-    except (AttributeError, TypeError):  # slots / exotic duck types
-        pass
+    offsets = np.ascontiguousarray(offsets)
+    indices = np.ascontiguousarray(indices)
+    fp = structure_digest(
+        matrix.shape, matrix.values.dtype, offsets, indices, kind
+    )
+    if not (offsets.flags.writeable or indices.flags.writeable):
+        matrix._structure_fp = fp
+    return fp
 
 
 def topology_delta(
@@ -117,19 +115,12 @@ def topology_delta(
     """
     if rows is None:
         rows = edited_rows(parent, child)
-    parent_fp = matrix_fingerprint(parent)
-    child_fp = matrix_fingerprint(child)
-    # Memoize on both endpoints: the child is the next dispatch's operand
-    # (and the next mutation's parent), so every subsequent plan lookup —
-    # and the next step's delta — skips the O(nnz) hash.
-    _stamp_fingerprint(parent, parent_fp)
-    _stamp_fingerprint(child, child_fp)
     return make_delta(
         parent,
         child,
         rows,
-        parent_fp=parent_fp,
-        child_fp=child_fp,
+        parent_fp=matrix_fingerprint(parent),
+        child_fp=matrix_fingerprint(child),
         values_preserved=values_preserved,
     )
 

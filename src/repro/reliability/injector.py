@@ -45,7 +45,7 @@ from ..gpu.executor import (
     register_launch_observer,
     unregister_launch_observer,
 )
-from ..gpu.memory import flip_bit
+from ..gpu.memory import flip_bit, write_through
 from .errors import DeviceOOMError, KernelLaunchError, PlanRepairError
 
 FAULT_KINDS = ("launch", "bitflip", "plan_poison", "latency", "oom", "repair")
@@ -287,7 +287,8 @@ class FaultInjector:
             return False
         while self._repairs:
             pending = self._repairs.pop()
-            pending.array.reshape(-1)[pending.element] = pending.original
+            with write_through(pending.array) as array:
+                array.reshape(-1)[pending.element] = pending.original
         return True
 
     # ------------------------------------------------------------------

@@ -12,12 +12,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .csr import INDEX_DTYPE_FOR_VALUES, CSRMatrix
+from .csr import INDEX_DTYPE_FOR_VALUES, CSRMatrix, frozen
 
 
 @dataclass
 class CSCMatrix:
-    """A sparse matrix in compressed-sparse-column format."""
+    """A sparse matrix in compressed-sparse-column format.
+
+    Like :class:`~repro.sparse.csr.CSRMatrix`, the structure arrays
+    (``col_offsets``, ``row_indices``) are frozen after validation; only
+    ``values`` stay writeable.
+    """
 
     shape: tuple[int, int]
     col_offsets: np.ndarray
@@ -45,6 +50,14 @@ class CSCMatrix:
             int(self.row_indices.min()) < 0 or int(self.row_indices.max()) >= rows
         ):
             raise ValueError("row index out of range")
+        self.col_offsets = frozen(self.col_offsets)
+        self.row_indices = frozen(self.row_indices)
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled and deep-copied arrays come back writeable.
+        self.__dict__.update(state)
+        self.col_offsets = frozen(self.col_offsets)
+        self.row_indices = frozen(self.row_indices)
 
     @property
     def nnz(self) -> int:

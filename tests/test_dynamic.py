@@ -19,16 +19,18 @@ import pytest
 
 from repro import ops
 from repro.bench.sweep import build_tasks, run_sweep
+from repro.core.repair import lengths_kept
 from repro.core.swizzle import merge_swizzle, row_swizzle
 from repro.datasets import MatrixSpec
 from repro.dist import DeviceGroup, plan_shards, repair_shard_plan, sharded_spmm_cost
 from repro.gpu import V100
 from repro.nn import DropGrowSchedule, SparseLinear, drop_grow_step, drop_grow_update, select_rows
 from repro.obs.regress import METRICS, read_current
-from repro.ops import PlanStore, matrix_fingerprint
+from repro.ops import PlanStore, matrix_fingerprint, topology_delta
 from repro.ops.store import PLAN_STORE_VERSION
 from repro.reliability.errors import PlanRepairError
 from repro.reliability.injector import FaultInjector, FaultSpec
+from repro.sparse import CSRMatrix
 
 from .conftest import random_sparse
 
@@ -294,6 +296,97 @@ class TestPlanRepair:
         small = random_sparse(rng, 32, 64, 0.2)
         with pytest.raises(PlanRepairError, match="row mismatch"):
             repair_shard_plan(plan, small, delta)
+
+
+class TestLengthKeptRepair:
+    """A delta that keeps every row length reuses the parent's row
+    structure; with an unchanged touched-column count, its launch too."""
+
+    @staticmethod
+    def _edit(parent, row, old_col, new_col):
+        """Move one nonzero of ``row`` from ``old_col`` to ``new_col``."""
+        dense = parent.to_dense()
+        dense[row, new_col] = dense[row, old_col]
+        dense[row, old_col] = 0.0
+        child = CSRMatrix.from_dense(dense)
+        return child, topology_delta(parent, child)
+
+    def test_lengths_kept(self, rng):
+        parent = random_sparse(rng, 32, 32, 0.3)
+        child, delta = _mutate(parent, rate=0.2)
+        assert lengths_kept(delta, child)
+        row = int(np.flatnonzero(parent.row_lengths)[0])
+        cols = parent.column_indices[
+            parent.row_offsets[row] : parent.row_offsets[row + 1]
+        ]
+        dense = parent.to_dense()
+        dense[row, cols[0]] = 0.0  # row shrinks by one
+        shrunk = CSRMatrix.from_dense(dense)
+        assert not lengths_kept(topology_delta(parent, shrunk), shrunk)
+
+    def _repair_pair(self, grand, parent, child, k=8):
+        ctx = ops.ExecutionContext(V100)
+        ctx.spmm_plan(grand, k)
+        ctx.sddmm_plan(grand, k)
+        ctx.register_topology_delta(topology_delta(grand, parent))
+        ancestors = ctx.spmm_plan(parent, k), ctx.sddmm_plan(parent, k)
+        assert all(p.col_counts is not None for p in ancestors)
+        ctx.register_topology_delta(topology_delta(parent, child))
+        repaired = ctx.spmm_plan(child, k), ctx.sddmm_plan(child, k)
+        assert ctx.telemetry.plan_repairs == 4
+        cold_ctx = ops.ExecutionContext(V100)
+        cold = cold_ctx.spmm_plan(child, k), cold_ctx.sddmm_plan(child, k)
+        for plan, cold_plan in zip(repaired, cold):
+            assert_plans_equal(plan, cold_plan)
+        return ancestors, repaired
+
+    def test_unchanged_touched_count_carries_the_launch_over(self, rng):
+        grand = random_sparse(rng, 64, 48, 0.3)  # every column touched
+        parent, _ = _mutate(grand, rate=0.2, seed=1)
+        child, delta = _mutate(parent, rate=0.2, seed=2)
+        assert lengths_kept(delta, child)
+        ancestors, repaired = self._repair_pair(grand, parent, child)
+        for plan, ancestor in zip(repaired, ancestors):
+            assert plan.launch is ancestor.launch
+            assert plan.execution is ancestor.execution
+
+    def test_changed_touched_count_recosts_the_launch(self, rng):
+        grand = random_sparse(rng, 64, 48, 0.2)
+        grand_dense = grand.to_dense()
+        grand_dense[:, 47] = 0.0  # column 47 untouched
+        grand = CSRMatrix.from_dense(grand_dense)
+        parent, _ = self._edit(grand, *self._movable(grand, 46))
+        row, old_col, _ = self._movable(parent, 47)
+        child, delta = self._edit(parent, row, old_col, 47)
+        assert lengths_kept(delta, child)
+        ancestors, repaired = self._repair_pair(grand, parent, child)
+        for plan, ancestor in zip(repaired, ancestors):
+            assert plan.launch is not ancestor.launch
+            assert plan.execution.dram_bytes != ancestor.execution.dram_bytes
+
+    def test_changed_row_length_merges_the_order(self, rng):
+        grand = random_sparse(rng, 64, 48, 0.2)
+        parent, _ = self._edit(grand, *self._movable(grand, 0))
+        dense = parent.to_dense()
+        row = int(np.argmax(parent.row_lengths))
+        dense[row, :] = 0.0  # the longest row empties
+        child = CSRMatrix.from_dense(dense)
+        assert not lengths_kept(topology_delta(parent, child), child)
+        self._repair_pair(grand, parent, child)
+
+    @staticmethod
+    def _movable(a, new_col):
+        """A (row, old column, new column) move that keeps every column
+        ``a`` touches (the old column stays referenced by another row)."""
+        counts = np.bincount(a.column_indices, minlength=a.n_cols)
+        for row in range(a.n_rows):
+            cols = a.column_indices[a.row_offsets[row] : a.row_offsets[row + 1]]
+            if new_col in cols:
+                continue
+            for col in cols:
+                if counts[col] > 1 and col != new_col:
+                    return row, int(col), new_col
+        raise AssertionError("no movable nonzero")
 
 
 class TestChaos:

@@ -149,12 +149,20 @@ class TestPlanCacheInvariants:
         b = dense_batch(rng, 32, 16)
         ops.spmm(a, b, context=ctx)
         fp_before = matrix_fingerprint(a)
-        # Move row 0's nonzero from column 0 to column 1 in place.
-        a.column_indices[0] = 1
-        assert matrix_fingerprint(a) != fp_before
-        ops.spmm(a, b, context=ctx)
+        # An in-place edit of a cached topology fails loudly...
+        with pytest.raises(ValueError, match="read-only"):
+            a.column_indices[0] = 1
+        assert matrix_fingerprint(a) == fp_before
+        # ...and the same edit as a new matrix (row 0's nonzero moved from
+        # column 0 to column 1) misses the plan cache.
+        cols = a.column_indices.copy()
+        cols[0] = 1
+        moved = CSRMatrix(a.shape, a.row_offsets, cols, a.values)
+        assert matrix_fingerprint(moved) != fp_before
+        result = ops.spmm(moved, b, context=ctx)
         stats = ctx.telemetry.stats[("spmm", "sputnik")]
         assert stats.cache_hits == 0 and stats.cache_misses == 2
+        assert np.allclose(result.output, moved.to_dense() @ b)
 
     def test_different_batch_width_is_a_different_plan(self, rng, ctx):
         a = random_sparse(rng, 64, 48, 0.3)
